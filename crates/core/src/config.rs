@@ -1,5 +1,7 @@
 //! Platform configuration — the paper's Table 1.
 
+use std::ops::Range;
+
 use lumos_dnn::workload::Precision;
 use lumos_hbm::HbmConfig;
 use lumos_phnet::config::PhnetConfig;
@@ -190,11 +192,16 @@ impl PlatformConfig {
 
     /// Chiplet ids hosting `class`.
     pub fn chiplet_ids_of(&self, class: MacClass) -> Vec<usize> {
-        self.chiplets()
-            .into_iter()
-            .filter(|c| c.class == class)
-            .map(|c| c.id)
-            .collect()
+        self.chiplet_range(class).collect()
+    }
+
+    /// The contiguous id range of `class`'s chiplets in port order.
+    pub(crate) fn chiplet_range(&self, class: MacClass) -> Range<usize> {
+        let start: usize = MacClass::all()[..class.index()]
+            .iter()
+            .map(|&c| self.class(c).chiplets)
+            .sum();
+        start..start + self.class(class).chiplets
     }
 
     /// Total MAC *lanes* across the platform (the Σ units × lanes
@@ -306,6 +313,15 @@ mod tests {
             ]
         );
         assert_eq!(cfg.chiplet_ids_of(MacClass::Conv3), vec![5, 6, 7]);
+        for class in MacClass::all() {
+            let listed: Vec<usize> = cfg
+                .chiplets()
+                .iter()
+                .filter(|c| c.class == class)
+                .map(|c| c.id)
+                .collect();
+            assert_eq!(cfg.chiplet_ids_of(class), listed, "{class:?}");
+        }
     }
 
     #[test]

@@ -102,12 +102,6 @@ impl PlacementPolicy {
         }
     }
 
-    /// The unit pool `class` may use: its per-chiplet unit count times
-    /// the allowed chiplet count.
-    pub fn units_for(&self, cfg: &PlatformConfig, class: MacClass) -> usize {
-        self.chiplets_for(cfg, class).len() * cfg.class(class).macs_per_chiplet
-    }
-
     /// Checks every pin names at least one chiplet and only chiplets
     /// of the pinned class.
     ///
@@ -115,7 +109,6 @@ impl PlacementPolicy {
     ///
     /// Returns [`CoreError::BadConfig`] naming the first bad pin.
     pub fn validate(&self, cfg: &PlatformConfig) -> Result<(), CoreError> {
-        let chiplets = cfg.chiplets();
         for (class, pinned) in &self.pins {
             if pinned.is_empty() {
                 return Err(CoreError::BadConfig {
@@ -123,17 +116,19 @@ impl PlacementPolicy {
                 });
             }
             for &id in pinned {
-                match chiplets.iter().find(|c| c.id == id) {
+                let host = MacClass::all()
+                    .into_iter()
+                    .find(|&c| cfg.chiplet_range(c).contains(&id));
+                match host {
                     None => {
                         return Err(CoreError::BadConfig {
                             reason: format!("{class:?} pinned to unknown chiplet {id}"),
                         })
                     }
-                    Some(info) if info.class != *class => {
+                    Some(host) if host != *class => {
                         return Err(CoreError::BadConfig {
                             reason: format!(
-                                "{class:?} pinned to chiplet {id}, which hosts {:?}",
-                                info.class
+                                "{class:?} pinned to chiplet {id}, which hosts {host:?}"
                             ),
                         })
                     }
@@ -188,27 +183,17 @@ fn passes_per_dot(workload: &LayerWorkload, class: MacClass) -> u64 {
 /// at the GEMM's reduction length, so all shares finish together.
 /// Rounding leftovers go to the highest-throughput classes; classes
 /// rounding to zero dots are dropped from the placement.
-fn gemm_shares(
-    cfg: &PlatformConfig,
-    workload: &LayerWorkload,
-    policy: &PlacementPolicy,
-) -> Vec<PlacementShare> {
+fn gemm_shares(placer: &Placer, workload: &LayerWorkload) -> Vec<PlacementShare> {
     let dots = workload.dot_products;
     let all = MacClass::all();
     if dots == 0 {
         // A degenerate GEMM still needs a non-empty placement (the
         // runner shards weight streams over the placement's chiplets).
-        return vec![PlacementShare {
-            class: MacClass::Dense100,
-            chiplets: policy.chiplets_for(cfg, MacClass::Dense100),
-            units: policy.units_for(cfg, MacClass::Dense100),
-            dots: 0,
-            passes: 0,
-        }];
+        return vec![placer.share(MacClass::Dense100, 0, 0)];
     }
     let rates: Vec<f64> = all
         .iter()
-        .map(|&c| policy.units_for(cfg, c) as f64 / passes_per_dot(workload, c) as f64)
+        .map(|&c| placer.pools[c.index()].1 as f64 / passes_per_dot(workload, c) as f64)
         .collect();
     let total_rate: f64 = rates.iter().sum();
 
@@ -236,13 +221,7 @@ fn gemm_shares(
     all.iter()
         .zip(assigned)
         .filter(|&(_, dots)| dots > 0)
-        .map(|(&class, dots)| PlacementShare {
-            class,
-            chiplets: policy.chiplets_for(cfg, class),
-            units: policy.units_for(cfg, class),
-            dots,
-            passes: dots * passes_per_dot(workload, class),
-        })
+        .map(|(&class, dots)| placer.share(class, dots, dots * passes_per_dot(workload, class)))
         .collect()
 }
 
@@ -278,7 +257,10 @@ pub fn place(cfg: &PlatformConfig, workload: &LayerWorkload) -> Result<Placement
 ///
 /// With an unrestricted policy this is [`place`], bit for bit. Pinned
 /// classes keep the same chunking rules but draw on the pinned
-/// chiplets' (proportionally smaller) unit pool.
+/// chiplets' (proportionally smaller) unit pool. This is the one
+/// placement implementation: [`Runner::plan`](crate::runner::Runner::plan)
+/// runs the same code, resolving the pools once per stage instead of
+/// once per call.
 ///
 /// # Errors
 ///
@@ -289,32 +271,68 @@ pub fn place_with(
     workload: &LayerWorkload,
     policy: &PlacementPolicy,
 ) -> Result<Placement, CoreError> {
-    policy.validate(cfg)?;
-    let affinity = class_for(workload)?;
-    let shares = if matches!(workload.class, KernelClass::Gemm { .. }) {
-        gemm_shares(cfg, workload, policy)
-    } else {
-        let dots = workload.dot_products;
-        vec![PlacementShare {
-            class: affinity,
-            chiplets: policy.chiplets_for(cfg, affinity),
-            units: policy.units_for(cfg, affinity),
+    Placer::new(cfg, policy)?.place(workload)
+}
+
+/// Each MAC class's chiplet pool and unit count under one validated
+/// [`PlacementPolicy`] ([`MacClass::all`] order), resolved once so a
+/// whole stage places without re-deriving them per workload.
+pub(crate) struct Placer {
+    pools: [(Vec<usize>, usize); 4],
+}
+
+impl Placer {
+    /// Validates `policy` against `cfg` and resolves every class's pool.
+    pub(crate) fn new(cfg: &PlatformConfig, policy: &PlacementPolicy) -> Result<Self, CoreError> {
+        policy.validate(cfg)?;
+        Ok(Placer {
+            pools: MacClass::all().map(|class| {
+                // The unit pool: the class's per-chiplet unit count
+                // times the allowed chiplet count.
+                let chiplets = policy.chiplets_for(cfg, class);
+                let units = chiplets.len() * cfg.class(class).macs_per_chiplet;
+                (chiplets, units)
+            }),
+        })
+    }
+
+    /// A share of `class`'s whole pool.
+    fn share(&self, class: MacClass, dots: u64, passes: u64) -> PlacementShare {
+        let (chiplets, units) = &self.pools[class.index()];
+        PlacementShare {
+            class,
+            chiplets: chiplets.clone(),
+            units: *units,
             dots,
-            passes: workload.passes_on(affinity.lanes() as u64),
-        }]
-    };
-    let primary = shares
-        .iter()
-        .max_by_key(|s| (s.dots, std::cmp::Reverse(s.class)))
-        .map(|s| s.class)
-        .unwrap_or(affinity);
-    Ok(Placement {
-        class: primary,
-        chiplets: shares.iter().flat_map(|s| s.chiplets.clone()).collect(),
-        units: shares.iter().map(|s| s.units).sum(),
-        passes: shares.iter().map(|s| s.passes).sum(),
-        shares,
-    })
+            passes,
+        }
+    }
+
+    /// Maps one workload (see [`place`]).
+    pub(crate) fn place(&self, workload: &LayerWorkload) -> Result<Placement, CoreError> {
+        let affinity = class_for(workload)?;
+        let shares = if matches!(workload.class, KernelClass::Gemm { .. }) {
+            gemm_shares(self, workload)
+        } else {
+            let passes = workload.passes_on(affinity.lanes() as u64);
+            vec![self.share(affinity, workload.dot_products, passes)]
+        };
+        let primary = shares
+            .iter()
+            .max_by_key(|s| (s.dots, std::cmp::Reverse(s.class)))
+            .map(|s| s.class)
+            .unwrap_or(affinity);
+        Ok(Placement {
+            class: primary,
+            chiplets: shares
+                .iter()
+                .flat_map(|s| s.chiplets.iter().copied())
+                .collect(),
+            units: shares.iter().map(|s| s.units).sum(),
+            passes: shares.iter().map(|s| s.passes).sum(),
+            shares,
+        })
+    }
 }
 
 #[cfg(test)]

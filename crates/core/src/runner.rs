@@ -17,7 +17,7 @@
 //! 4. outputs stream back to memory (SWSR / mesh unicast).
 
 use lumos_dnn::workload::extract_workloads;
-use lumos_dnn::Model;
+use lumos_dnn::{LayerWorkload, Model};
 use lumos_hbm::HbmStack;
 use lumos_metrics::{MetricId, MetricsRegistry};
 use lumos_noc::{Coord, MeshNetwork};
@@ -29,7 +29,7 @@ use crate::config::{MacClass, PlatformConfig};
 use crate::contention::ContentionModel;
 use crate::error::CoreError;
 use crate::mac::MacUnit;
-use crate::mapper::{place_with, PlacementPolicy};
+use crate::mapper::{Placement, PlacementPolicy, Placer};
 use crate::platform::Platform;
 use crate::report::{EnergyBreakdown, LayerReport, RunReport};
 
@@ -139,24 +139,6 @@ impl RunMeter {
     }
 }
 
-enum Backend {
-    Siph {
-        net: Box<PhotonicInterposer>,
-        hbm: HbmStack,
-    },
-    Elec {
-        net: Box<MeshNetwork>,
-        hbm: HbmStack,
-        mem: Coord,
-        positions: Vec<Coord>,
-        packet_bits: u64,
-    },
-    Mono {
-        bus: BandwidthServer,
-        hbm: HbmStack,
-    },
-}
-
 impl Runner {
     /// Creates a runner for `cfg` (tracing and metrics off).
     pub fn new(cfg: PlatformConfig) -> Self {
@@ -259,7 +241,7 @@ impl Runner {
         &self,
         platform: &Platform,
         model_name: &str,
-        workloads: &[lumos_dnn::LayerWorkload],
+        workloads: &[LayerWorkload],
     ) -> Result<RunReport, CoreError> {
         self.run_workloads_scaled(
             platform,
@@ -286,6 +268,10 @@ impl Runner {
     /// energy across tenants should use the uncontended run's energy,
     /// which time-sharing conserves.
     ///
+    /// This is [`Runner::plan`] followed by [`StagePlan::price`]. To
+    /// price one stage at several contention levels, plan it once and
+    /// price the plan at each.
+    ///
     /// # Errors
     ///
     /// Same as [`Runner::run`], plus [`CoreError::BadConfig`] for
@@ -294,29 +280,293 @@ impl Runner {
         &self,
         platform: &Platform,
         model_name: &str,
-        workloads: &[lumos_dnn::LayerWorkload],
+        workloads: &[LayerWorkload],
         contention: &ContentionModel,
     ) -> Result<RunReport, CoreError> {
+        self.plan(platform, model_name, workloads)?
+            .price(contention)
+    }
+
+    /// Places every workload of a stage on `platform` — the
+    /// contention-free half of [`Runner::run_workloads_scaled`].
+    ///
+    /// Placement depends on the configuration and the
+    /// [`PlacementPolicy`], never on contention. A caller that needs one
+    /// stage at many contention levels (service tabulation) plans it
+    /// once and calls [`StagePlan::price`] per level; every price is
+    /// bit-identical to the corresponding
+    /// [`Runner::run_workloads_scaled`]. The plan borrows `workloads`,
+    /// so it can only be priced against the stage it placed.
+    ///
+    /// # Errors
+    ///
+    /// Faults of the configuration or the stage surface here:
+    ///
+    /// * [`CoreError::BadConfig`] for an inconsistent configuration or
+    ///   an invalid pin in the [`PlacementPolicy`];
+    /// * [`CoreError::UnmappableLayer`], naming the layer, for kernels
+    ///   no class covers.
+    ///
+    /// Faults that depend on the contention model or the platform's
+    /// fabric surface from [`StagePlan::price`] instead:
+    ///
+    /// * [`CoreError::BadConfig`] for shares outside `(0, 1]`;
+    /// * [`CoreError::InfeasiblePhotonics`] when the photonic
+    ///   interposer, derated to the bandwidth share, cannot close its
+    ///   link budget;
+    /// * [`CoreError::BadConfig`] when the electrical mesh cannot seat
+    ///   the platform's compute chiplets.
+    pub fn plan<'a>(
+        &'a self,
+        platform: &Platform,
+        model_name: &'a str,
+        workloads: &'a [LayerWorkload],
+    ) -> Result<StagePlan<'a>, CoreError> {
         self.cfg.validate()?;
+        let placer = Placer::new(&self.cfg, &self.placement)?;
+        let mut chiplets = Vec::new();
+        let layers = workloads
+            .iter()
+            .map(|w| {
+                let placement = placer.place(w)?;
+                chiplets.extend_from_slice(&placement.chiplets);
+                let n_shards = placement.chiplets.len() as u64;
+                Ok(PlannedLayer {
+                    work: w,
+                    weight_shard_bits: w.weight_bits.div_ceil(n_shards),
+                    output_shard_bits: w.output_bits.div_ceil(n_shards),
+                    placement,
+                })
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        chiplets.sort_unstable();
+        chiplets.dedup();
+        Ok(StagePlan {
+            runner: self,
+            platform: *platform,
+            model_name,
+            layers,
+            chiplets,
+        })
+    }
+
+    /// Runs a batch of `batch` inferences with layer-level weight reuse:
+    /// weights stream from memory once per layer while activations,
+    /// outputs, and compute scale with the batch — the standard
+    /// throughput mode that amortizes weight traffic (an extension
+    /// beyond the paper's single-inference evaluation).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Runner::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`.
+    pub fn run_batch(
+        &self,
+        platform: &Platform,
+        model: &Model,
+        batch: u32,
+    ) -> Result<RunReport, CoreError> {
+        assert!(batch > 0, "batch must be at least 1");
+        let workloads: Vec<LayerWorkload> = extract_workloads(model, self.cfg.precision)
+            .into_iter()
+            .map(|mut w| {
+                w.dot_products *= batch as u64;
+                w.macs *= batch as u64;
+                w.input_bits *= batch as u64;
+                w.output_bits *= batch as u64;
+                w
+            })
+            .collect();
+        let name = format!("{} (batch {batch})", model.name());
+        self.run_workloads(platform, &name, &workloads)
+    }
+
+    /// Runs every Table 2 model on `platform`, in the paper's row order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`CoreError`] encountered.
+    pub fn run_table2(&self, platform: &Platform) -> Result<Vec<RunReport>, CoreError> {
+        lumos_dnn::zoo::table2_models()
+            .iter()
+            .map(|m| self.run(platform, m))
+            .collect()
+    }
+}
+
+/// One workload with its contention-free placement and shard sizes.
+#[derive(Debug, Clone)]
+struct PlannedLayer<'a> {
+    work: &'a LayerWorkload,
+    placement: Placement,
+    /// Weight bits streamed to each placement chiplet (the weights
+    /// sharded over the placement's chiplets, rounded up).
+    weight_shard_bits: u64,
+    /// Output bits each placement chiplet writes back.
+    output_shard_bits: u64,
+}
+
+/// One stage placed on one platform by [`Runner::plan`]: the
+/// contention-free half of a run, priced at any number of
+/// [`ContentionModel`]s by [`StagePlan::price`].
+///
+/// # Examples
+///
+/// ```
+/// use lumos_core::{ContentionModel, Platform, PlatformConfig, Runner};
+/// use lumos_dnn::workload::extract_workloads;
+///
+/// let runner = Runner::new(PlatformConfig::paper_table1());
+/// let work = extract_workloads(&lumos_dnn::zoo::lenet5(), runner.config().precision);
+/// let plan = runner.plan(&Platform::Siph2p5D, "lenet5", &work)?;
+/// for k in 1..=4 {
+///     let contention = ContentionModel::of_resident_streams(k);
+///     let priced = plan.price(&contention)?;
+///     let fresh = runner.run_workloads_scaled(&Platform::Siph2p5D, "lenet5", &work, &contention)?;
+///     assert_eq!(priced.total_latency, fresh.total_latency);
+/// }
+/// # Ok::<(), lumos_core::error::CoreError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct StagePlan<'a> {
+    runner: &'a Runner,
+    platform: Platform,
+    model_name: &'a str,
+    layers: Vec<PlannedLayer<'a>>,
+    chiplets: Vec<usize>,
+}
+
+impl StagePlan<'_> {
+    /// Every chiplet the stage's placements use, sorted and
+    /// deduplicated — what [`crate::flow::FlowTopology::route_for_chiplets`]
+    /// routes the stage's flow over.
+    pub fn chiplets(&self) -> &[usize] {
+        &self.chiplets
+    }
+
+    /// Adds the stage's pure compute demand, in unit-seconds per MAC
+    /// class ([`MacClass::all`] order), to `acc`. It is
+    /// allocation-invariant (passes over the unit's pass rate) and
+    /// added one placement share at a time, so folding several stages
+    /// into one array sums in the order of one pass over all their
+    /// workloads.
+    pub fn add_unit_seconds(&self, acc: &mut [f64; 4]) {
+        let calib = &self.runner.cfg.calibration;
+        for share in self.layers.iter().flat_map(|l| &l.placement.shares) {
+            let unit = MacUnit::new(share.class, calib);
+            acc[share.class.index()] += share.passes as f64 / unit.passes_per_second();
+        }
+    }
+
+    /// Executes the planned stage under `contention`: bit-identical to
+    /// [`Runner::run_workloads_scaled`] on the same stage, which is this
+    /// plan priced once.
+    ///
+    /// # Errors
+    ///
+    /// The price-time faults listed on [`Runner::plan`]:
+    /// [`CoreError::BadConfig`] for shares outside `(0, 1]` or a mesh
+    /// that cannot seat the chiplets, [`CoreError::InfeasiblePhotonics`]
+    /// for a derated interposer that cannot close its link budget.
+    pub fn price(&self, contention: &ContentionModel) -> Result<RunReport, CoreError> {
         contention.validate()?;
-        let bw_share = contention.bandwidth_share();
-        let calib = &self.cfg.calibration;
-        let mut backend = self.build_backend(platform, contention)?;
+        match self.platform {
+            Platform::Siph2p5D => self.price_phnet(contention),
+            Platform::Elec2p5D => self.price_mesh(contention),
+            Platform::Monolithic => self.price_bus(contention),
+        }
+    }
+
+    /// Prices on the photonic interposer: every wavelength derated to
+    /// the bandwidth share, ReSiPI scaling gateways per layer.
+    fn price_phnet(&self, contention: &ContentionModel) -> Result<RunReport, CoreError> {
+        let cfg = &self.runner.cfg;
+        let bw = contention.bandwidth_share();
+        let mut phnet_cfg = cfg.phnet.clone();
+        phnet_cfg.rate_gbps *= bw;
+        let gw_bps = cfg.phnet.gateway_rate_gbps() * bw * 1e9;
+        let fabric = Phnet {
+            net: PhotonicInterposer::new(phnet_cfg)?,
+            epoch_bits: gw_bps * cfg.phnet.epoch_us as f64 * 1e-6,
+            burst_bps: cfg.phnet.gateways_per_chiplet as f64 * gw_bps,
+            margin: cfg.calibration.comm_overlap_margin,
+            demand: vec![0.0; cfg.compute_chiplets()],
+        };
+        Ok(self.price_on(fabric, contention))
+    }
+
+    /// Prices on the 3×3 electrical mesh: memory at the centre, compute
+    /// chiplets around it in id order (Fig. 3's floorplan); the stream
+    /// sees its bandwidth share as a derated link clock.
+    fn price_mesh(&self, contention: &ContentionModel) -> Result<RunReport, CoreError> {
+        let cfg = &self.runner.cfg;
+        let calib = &cfg.calibration;
+        let mem = Coord::new(1, 1);
+        let positions: Vec<Coord> = (0..3u32)
+            .flat_map(|y| (0..3u32).map(move |x| Coord::new(x, y)))
+            .filter(|&c| c != mem)
+            .collect();
+        if positions.len() < cfg.compute_chiplets() {
+            return Err(CoreError::BadConfig {
+                reason: format!(
+                    "3x3 interposer fits 8 compute chiplets, platform has {}",
+                    cfg.compute_chiplets()
+                ),
+            });
+        }
+        let fabric = Mesh {
+            net: MeshNetwork::paper_table1_scaled(
+                3,
+                3,
+                calib.hop_mm_2p5d,
+                contention.bandwidth_share(),
+            ),
+            mem,
+            positions,
+            packet_bits: calib.elec_packet_bits,
+            phy_static_w: calib.elec_phy_static_w,
+        };
+        Ok(self.price_on(fabric, contention))
+    }
+
+    /// Prices on the monolithic chip's on-chip distribution bus,
+    /// derated to the bandwidth share.
+    fn price_bus(&self, contention: &ContentionModel) -> Result<RunReport, CoreError> {
+        let calib = &self.runner.cfg.calibration;
+        let fabric = Bus {
+            bus: BandwidthServer::new(calib.mono_mem_gbps * contention.bandwidth_share()),
+            static_w: calib.mono_static_w,
+        };
+        Ok(self.price_on(fabric, contention))
+    }
+
+    /// The layer loop every fabric shares: compute, HBM streams,
+    /// tracing, metering, and the energy roll-up.
+    fn price_on<F: Fabric>(&self, mut fabric: F, contention: &ContentionModel) -> RunReport {
+        let runner = self.runner;
+        let cfg = &runner.cfg;
+        let calib = &cfg.calibration;
+        let platform = &self.platform;
+        // Time-shared links: this stream sees its bandwidth share of
+        // every link's rate (the fabric's, derated where it was built,
+        // and the HBM channel rate). At share 1.0 every rate is
+        // untouched.
+        let mut hbm_cfg = cfg.hbm;
+        hbm_cfg.channel_rate_gbps *= contention.bandwidth_share();
+        let mut hbm = HbmStack::new(hbm_cfg);
 
         let trace_pid = platform.trace_pid();
-        let net_cat = match platform {
-            Platform::Siph2p5D => "link:phnet",
-            Platform::Elec2p5D => "link:mesh",
-            Platform::Monolithic => "link:bus",
-        };
-        if self.tracer.enabled() {
-            self.tracer.name_process(trace_pid, platform.label());
-            self.tracer.name_thread(trace_pid, TID_OP, "op");
-            self.tracer.name_thread(trace_pid, TID_COMPUTE, "compute");
-            self.tracer.name_thread(trace_pid, TID_HBM, "link:hbm");
-            self.tracer.name_thread(trace_pid, TID_NET, net_cat);
+        let net_cat = F::LINK;
+        if runner.tracer.enabled() {
+            runner.tracer.name_process(trace_pid, platform.label());
+            runner.tracer.name_thread(trace_pid, TID_OP, "op");
+            runner.tracer.name_thread(trace_pid, TID_COMPUTE, "compute");
+            runner.tracer.name_thread(trace_pid, TID_HBM, "link:hbm");
+            runner.tracer.name_thread(trace_pid, TID_NET, net_cat);
         }
-
         // Unit models and per-class unit counts (scaled for monolithic).
         let scale = |n: usize| -> usize {
             if matches!(platform, Platform::Monolithic) {
@@ -326,14 +576,14 @@ impl Runner {
             }
         };
 
-        let meter = if self.metrics.enabled() {
+        let meter = if runner.metrics.enabled() {
             let net_link = &net_cat["link:".len()..];
             let class_units: Vec<(MacClass, usize)> = MacClass::all()
                 .iter()
-                .map(|&c| (c, scale(self.cfg.class(c).total_units())))
+                .map(|&c| (c, scale(cfg.class(c).total_units())))
                 .collect();
             Some(RunMeter::new(
-                &self.metrics,
+                &runner.metrics,
                 platform,
                 net_link,
                 &class_units,
@@ -343,7 +593,7 @@ impl Runner {
         };
 
         let mut t = SimTime::ZERO;
-        let mut layers = Vec::with_capacity(workloads.len());
+        let mut layers = Vec::with_capacity(self.layers.len());
         let mut mac_active_j = 0.0;
         let mut active_idle_correction_j = 0.0;
         let mut bits_moved = 0u64;
@@ -353,8 +603,8 @@ impl Runner {
         // naturally overlap them with layer i's tail traffic).
         let mut prev_start: Option<SimTime> = None;
 
-        for w in workloads {
-            let placement = place_with(&self.cfg, w, &self.placement)?;
+        for layer in &self.layers {
+            let (w, placement) = (layer.work, &layer.placement);
             // Per-share compute: every class runs its passes in
             // parallel; the layer's compute span is the slowest share
             // (the throughput-proportional GEMM split keeps the shares
@@ -380,40 +630,9 @@ impl Runner {
                     share_samples.push((share.class, share_s, units as f64 * alloc));
                 }
             }
-            let n_shards = placement.chiplets.len() as u64;
-            let weight_shard = w.weight_bits.div_ceil(n_shards);
-            let output_shard = w.output_bits.div_ceil(n_shards);
-
             // Reconfiguration (photonic platform only): announce this
             // layer's demand so the ReSiPI controller can scale gateways.
-            let start = match &mut backend {
-                Backend::Siph { net, .. } => {
-                    // ReSiPI reacts to the traffic it observes per epoch.
-                    // A layer whose stream exceeds what one gateway can
-                    // deliver in an epoch looks like a full-rate burst to
-                    // the controller, which keeps the chiplet's whole
-                    // gateway complement active; lighter layers are
-                    // provisioned to finish within a margin of their
-                    // compute time (this is what deactivates gateways on
-                    // small models like LeNet5).
-                    let gw_bps = self.cfg.phnet.gateway_rate_gbps() * bw_share * 1e9;
-                    let epoch_bits = gw_bps * self.cfg.phnet.epoch_us as f64 * 1e-6;
-                    let burst_bps = self.cfg.phnet.gateways_per_chiplet as f64 * gw_bps;
-                    let est = (compute_s * calib.comm_overlap_margin).max(1e-6);
-                    let mut demand = vec![0.0; self.cfg.compute_chiplets()];
-                    for &c in &placement.chiplets {
-                        let layer_bits = weight_shard + w.input_bits + output_shard;
-                        demand[c] = if layer_bits as f64 >= epoch_bits {
-                            burst_bps
-                        } else {
-                            layer_bits as f64 / est
-                        };
-                    }
-                    let stall = net.reconfigure(t, &demand);
-                    t + stall + overhead
-                }
-                _ => t + overhead,
-            };
+            let start = t + fabric.reconfigure(t, layer, compute_s) + overhead;
 
             // Inbound streams: weights (sharded) + activations (broadcast).
             let weight_issue = if calib.prefetch_weights {
@@ -426,59 +645,10 @@ impl Runner {
             // stream to each; `max` is commutative, so folding them
             // separately leaves `comm_in_fin` bit-identical to the
             // historical single running max.
-            let (hbm_in_fin, net_in_fin) = match &mut backend {
-                Backend::Siph { net, hbm } => {
-                    let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
-                    let hbm_a = hbm.read(start, w.input_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin =
-                            net_fin.max(net.read_unicast(weight_issue, c, weight_shard).finish);
-                    }
-                    net_fin = net_fin.max(net.read_broadcast(start, w.input_bits).finish);
-                    (hbm_w.max(hbm_a), net_fin)
-                }
-                Backend::Elec {
-                    net,
-                    hbm,
-                    mem,
-                    positions,
-                    packet_bits,
-                } => {
-                    let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
-                    let hbm_a = hbm.read(start, w.input_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin = net_fin.max(
-                            net.transfer_packets(
-                                weight_issue,
-                                *mem,
-                                positions[c],
-                                weight_shard,
-                                *packet_bits,
-                            )
-                            .finish,
-                        );
-                    }
-                    let dsts: Vec<Coord> =
-                        placement.chiplets.iter().map(|&c| positions[c]).collect();
-                    net_fin = net_fin.max(net.broadcast_packets(
-                        start,
-                        *mem,
-                        &dsts,
-                        w.input_bits,
-                        *packet_bits,
-                    ));
-                    (hbm_w.max(hbm_a), net_fin)
-                }
-                Backend::Mono { bus, hbm } => {
-                    let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
-                    let hbm_a = hbm.read(start, w.input_bits).finish;
-                    let w_grant = bus.serve(weight_issue, w.weight_bits);
-                    let a_grant = bus.serve(start, w.input_bits);
-                    (hbm_w.max(hbm_a), w_grant.finish.max(a_grant.finish))
-                }
-            };
+            let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+            let hbm_a = hbm.read(start, w.input_bits).finish;
+            let hbm_in_fin = hbm_w.max(hbm_a);
+            let net_in_fin = fabric.read(weight_issue, start, layer);
             let comm_in_fin = hbm_in_fin.max(net_in_fin);
             prev_start = Some(start);
 
@@ -488,48 +658,13 @@ impl Runner {
             let compute_fin = comm_in_fin.max(start + compute_span);
 
             // Outbound write-back, again split by link family.
-            let (hbm_out_fin, net_out_fin) = match &mut backend {
-                Backend::Siph { net, hbm } => {
-                    let hbm_fin = hbm.write(compute_fin, w.output_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin = net_fin.max(net.write(compute_fin, c, output_shard).finish);
-                    }
-                    (hbm_fin, net_fin)
-                }
-                Backend::Elec {
-                    net,
-                    hbm,
-                    mem,
-                    positions,
-                    packet_bits,
-                } => {
-                    let hbm_fin = hbm.write(compute_fin, w.output_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin = net_fin.max(
-                            net.transfer_packets(
-                                compute_fin,
-                                positions[c],
-                                *mem,
-                                output_shard,
-                                *packet_bits,
-                            )
-                            .finish,
-                        );
-                    }
-                    (hbm_fin, net_fin)
-                }
-                Backend::Mono { bus, hbm } => {
-                    let hbm_fin = hbm.write(compute_fin, w.output_bits).finish;
-                    (hbm_fin, bus.serve(compute_fin, w.output_bits).finish)
-                }
-            };
+            let hbm_out_fin = hbm.write(compute_fin, w.output_bits).finish;
+            let net_out_fin = fabric.write(compute_fin, layer);
             let layer_fin = hbm_out_fin.max(net_out_fin);
 
             bits_moved += w.total_bits();
 
-            if self.tracer.enabled() {
+            if runner.tracer.enabled() {
                 let kernel = kernel_label(w.class);
                 // Flow-level attribution: when the contention model
                 // carries a modeled bottleneck, the fabric spans name
@@ -542,7 +677,7 @@ impl Runner {
                     }
                     args
                 };
-                self.tracer.span(
+                runner.tracer.span(
                     trace_pid,
                     TID_OP,
                     "op",
@@ -556,7 +691,7 @@ impl Runner {
                         ("macs", ArgValue::U64(w.macs)),
                     ],
                 );
-                self.tracer.span(
+                runner.tracer.span(
                     trace_pid,
                     TID_COMPUTE,
                     &format!("kernel:{kernel}"),
@@ -565,7 +700,7 @@ impl Runner {
                     compute_span.as_ps(),
                     Vec::new(),
                 );
-                self.tracer.span(
+                runner.tracer.span(
                     trace_pid,
                     TID_HBM,
                     "link:hbm",
@@ -574,7 +709,7 @@ impl Runner {
                     hbm_in_fin.saturating_sub(weight_issue).as_ps(),
                     vec![("dir", ArgValue::from("in"))],
                 );
-                self.tracer.span(
+                runner.tracer.span(
                     trace_pid,
                     TID_NET,
                     net_cat,
@@ -583,7 +718,7 @@ impl Runner {
                     net_in_fin.saturating_sub(weight_issue).as_ps(),
                     net_args("in"),
                 );
-                self.tracer.span(
+                runner.tracer.span(
                     trace_pid,
                     TID_HBM,
                     "link:hbm",
@@ -592,7 +727,7 @@ impl Runner {
                     hbm_out_fin.saturating_sub(compute_fin).as_ps(),
                     vec![("dir", ArgValue::from("out"))],
                 );
-                self.tracer.span(
+                runner.tracer.span(
                     trace_pid,
                     TID_NET,
                     net_cat,
@@ -656,50 +791,30 @@ impl Runner {
             .iter()
             .map(|&c| {
                 let unit = MacUnit::new(c, calib);
-                unit.idle_power_w() * scale(self.cfg.class(c).total_units()) as f64
+                unit.idle_power_w() * scale(cfg.class(c).total_units()) as f64
             })
             .sum();
         let mac_idle_j = (idle_power_total * total_s - active_idle_correction_j).max(0.0);
 
-        let (network_j, memory_j) = match backend {
-            Backend::Siph { mut net, hbm } => {
-                let report = net.finalize(t);
-                (
-                    report.energy_j,
-                    hbm.total_energy_j() + hbm.static_power_w() * total_s,
-                )
-            }
-            Backend::Elec { net, hbm, .. } => (
-                net.total_energy_j() + (net.static_power_w() + calib.elec_phy_static_w) * total_s,
-                hbm.total_energy_j() + hbm.static_power_w() * total_s,
-            ),
-            Backend::Mono { bus, hbm } => {
-                // On-chip distribution energy (~0.3 pJ/bit of short
-                // global wiring) plus the monolithic chip's photonic
-                // network power floor (broadcast laser + ring tuning).
-                let dist_j = 0.3e-12 * bus.served_bits() as f64 + calib.mono_static_w * total_s;
-                (
-                    dist_j,
-                    hbm.total_energy_j() + hbm.static_power_w() * total_s,
-                )
-            }
-        };
-
         let energy = EnergyBreakdown {
             mac_j: mac_active_j + mac_idle_j,
-            network_j,
-            memory_j,
+            network_j: fabric.energy_j(t),
+            memory_j: hbm.total_energy_j() + hbm.static_power_w() * total_s,
             digital_j: calib.digital_static_w * total_s,
         };
-        if self.tracer.enabled() {
+        if runner.tracer.enabled() {
             let end_ps = t.as_ps();
-            self.tracer
+            runner
+                .tracer
                 .counter(trace_pid, "energy.mac_j", end_ps, energy.mac_j);
-            self.tracer
+            runner
+                .tracer
                 .counter(trace_pid, "energy.network_j", end_ps, energy.network_j);
-            self.tracer
+            runner
+                .tracer
                 .counter(trace_pid, "energy.memory_j", end_ps, energy.memory_j);
-            self.tracer
+            runner
+                .tracer
                 .counter(trace_pid, "energy.digital_j", end_ps, energy.digital_j);
         }
         if let Some(m) = &meter {
@@ -726,114 +841,186 @@ impl Runner {
             }
         }
 
-        Ok(RunReport {
-            model: model_name.to_owned(),
+        RunReport {
+            model: self.model_name.to_owned(),
             platform: *platform,
             total_latency: t,
             energy,
             bits_moved,
             layers,
-        })
+        }
+    }
+}
+
+/// The interposer fabric a stage's streams cross — the only part of
+/// pricing that differs between the three platforms. Compute, the HBM
+/// streams, tracing and metering are shared by the one layer loop.
+trait Fabric {
+    /// Trace category of the fabric's link family.
+    const LINK: &'static str;
+
+    /// Stall before `layer` starts at `t`. Only the photonic
+    /// interposer reconfigures (ReSiPI); other fabrics start at once.
+    fn reconfigure(&mut self, _t: SimTime, _layer: &PlannedLayer, _compute_s: f64) -> SimTime {
+        SimTime::ZERO
     }
 
-    /// Runs a batch of `batch` inferences with layer-level weight reuse:
-    /// weights stream from memory once per layer while activations,
-    /// outputs, and compute scale with the batch — the standard
-    /// throughput mode that amortizes weight traffic (an extension
-    /// beyond the paper's single-inference evaluation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Runner::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn run_batch(
-        &self,
-        platform: &Platform,
-        model: &Model,
-        batch: u32,
-    ) -> Result<RunReport, CoreError> {
-        assert!(batch > 0, "batch must be at least 1");
-        let workloads: Vec<lumos_dnn::LayerWorkload> = extract_workloads(model, self.cfg.precision)
-            .into_iter()
-            .map(|mut w| {
-                w.dot_products *= batch as u64;
-                w.macs *= batch as u64;
-                w.input_bits *= batch as u64;
-                w.output_bits *= batch as u64;
-                w
-            })
-            .collect();
-        let name = format!("{} (batch {batch})", model.name());
-        self.run_workloads(platform, &name, &workloads)
+    /// Streams the sharded weights (issued at `weight_issue`) and the
+    /// broadcast activations (issued at `start`) in; returns when the
+    /// last lands.
+    fn read(&mut self, weight_issue: SimTime, start: SimTime, layer: &PlannedLayer) -> SimTime;
+
+    /// Streams the output shards back from `at`; returns when the last
+    /// lands.
+    fn write(&mut self, at: SimTime, layer: &PlannedLayer) -> SimTime;
+
+    /// The fabric's energy over a run ending at `end`, joules.
+    fn energy_j(self, end: SimTime) -> f64;
+}
+
+/// The ReSiPI photonic interposer (2.5D-SiPh).
+struct Phnet {
+    net: PhotonicInterposer,
+    /// Bits one gateway delivers in a controller epoch.
+    epoch_bits: f64,
+    /// A chiplet's whole gateway complement at full rate, bits/s.
+    burst_bps: f64,
+    margin: f64,
+    /// Per-chiplet demand buffer, reused across layers, bits/s.
+    demand: Vec<f64>,
+}
+
+impl Fabric for Phnet {
+    const LINK: &'static str = "link:phnet";
+
+    fn reconfigure(&mut self, t: SimTime, layer: &PlannedLayer, compute_s: f64) -> SimTime {
+        // ReSiPI reacts to the traffic it observes per epoch. A layer
+        // whose stream exceeds what one gateway can deliver in an epoch
+        // looks like a full-rate burst to the controller, which keeps
+        // the chiplet's whole gateway complement active; lighter layers
+        // are provisioned to finish within a margin of their compute
+        // time (this is what deactivates gateways on small models like
+        // LeNet5).
+        let est = (compute_s * self.margin).max(1e-6);
+        let layer_bits = layer.weight_shard_bits + layer.work.input_bits + layer.output_shard_bits;
+        self.demand.fill(0.0);
+        for &c in &layer.placement.chiplets {
+            self.demand[c] = if layer_bits as f64 >= self.epoch_bits {
+                self.burst_bps
+            } else {
+                layer_bits as f64 / est
+            };
+        }
+        self.net.reconfigure(t, &self.demand)
     }
 
-    /// Runs every Table 2 model on `platform`, in the paper's row order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CoreError`] encountered.
-    pub fn run_table2(&self, platform: &Platform) -> Result<Vec<RunReport>, CoreError> {
-        lumos_dnn::zoo::table2_models()
-            .iter()
-            .map(|m| self.run(platform, m))
-            .collect()
+    fn read(&mut self, weight_issue: SimTime, start: SimTime, layer: &PlannedLayer) -> SimTime {
+        let mut fin = SimTime::ZERO;
+        for &c in &layer.placement.chiplets {
+            let shard = self
+                .net
+                .read_unicast(weight_issue, c, layer.weight_shard_bits);
+            fin = fin.max(shard.finish);
+        }
+        fin.max(self.net.read_broadcast(start, layer.work.input_bits).finish)
     }
 
-    fn build_backend(
-        &self,
-        platform: &Platform,
-        contention: &ContentionModel,
-    ) -> Result<Backend, CoreError> {
-        let calib = &self.cfg.calibration;
-        // Time-shared links: this stream sees `bw` of every link's rate
-        // (per-wavelength optical rate, mesh link clock, HBM channel
-        // rate, monolithic bus). At bw = 1.0 every rate is untouched.
-        let bw = contention.bandwidth_share();
-        let mut hbm_cfg = self.cfg.hbm;
-        hbm_cfg.channel_rate_gbps *= bw;
-        Ok(match platform {
-            Platform::Siph2p5D => {
-                let mut phnet_cfg = self.cfg.phnet.clone();
-                phnet_cfg.rate_gbps *= bw;
-                Backend::Siph {
-                    net: Box::new(PhotonicInterposer::new(phnet_cfg)?),
-                    hbm: HbmStack::new(hbm_cfg),
-                }
-            }
-            Platform::Elec2p5D => {
-                // 3×3 mesh: memory at the centre, compute chiplets around
-                // it in id order (Fig. 3's floorplan); the stream sees
-                // its bandwidth share as a derated link clock.
-                let net = MeshNetwork::paper_table1_scaled(3, 3, calib.hop_mm_2p5d, bw);
-                let mem = Coord::new(1, 1);
-                let positions: Vec<Coord> = (0..3u32)
-                    .flat_map(|y| (0..3u32).map(move |x| Coord::new(x, y)))
-                    .filter(|&c| c != mem)
-                    .collect();
-                if positions.len() < self.cfg.compute_chiplets() {
-                    return Err(CoreError::BadConfig {
-                        reason: format!(
-                            "3x3 interposer fits 8 compute chiplets, platform has {}",
-                            self.cfg.compute_chiplets()
-                        ),
-                    });
-                }
-                Backend::Elec {
-                    net: Box::new(net),
-                    hbm: HbmStack::new(hbm_cfg),
-                    mem,
-                    positions,
-                    packet_bits: calib.elec_packet_bits,
-                }
-            }
-            Platform::Monolithic => Backend::Mono {
-                bus: BandwidthServer::new(calib.mono_mem_gbps * bw),
-                hbm: HbmStack::new(hbm_cfg),
-            },
-        })
+    fn write(&mut self, at: SimTime, layer: &PlannedLayer) -> SimTime {
+        let mut fin = SimTime::ZERO;
+        for &c in &layer.placement.chiplets {
+            fin = fin.max(self.net.write(at, c, layer.output_shard_bits).finish);
+        }
+        fin
+    }
+
+    fn energy_j(mut self, end: SimTime) -> f64 {
+        self.net.finalize(end).energy_j
+    }
+}
+
+/// The packet-switched electrical mesh (2.5D-Elec).
+struct Mesh {
+    net: MeshNetwork,
+    mem: Coord,
+    /// Mesh position of each compute chiplet, by id.
+    positions: Vec<Coord>,
+    packet_bits: u64,
+    /// Static power of the chiplet PHYs, watts.
+    phy_static_w: f64,
+}
+
+impl Fabric for Mesh {
+    const LINK: &'static str = "link:mesh";
+
+    fn read(&mut self, weight_issue: SimTime, start: SimTime, layer: &PlannedLayer) -> SimTime {
+        let chiplets = &layer.placement.chiplets;
+        let mut fin = SimTime::ZERO;
+        for &c in chiplets {
+            let shard = self.net.transfer_packets(
+                weight_issue,
+                self.mem,
+                self.positions[c],
+                layer.weight_shard_bits,
+                self.packet_bits,
+            );
+            fin = fin.max(shard.finish);
+        }
+        let dsts: Vec<Coord> = chiplets.iter().map(|&c| self.positions[c]).collect();
+        fin.max(self.net.broadcast_packets(
+            start,
+            self.mem,
+            &dsts,
+            layer.work.input_bits,
+            self.packet_bits,
+        ))
+    }
+
+    fn write(&mut self, at: SimTime, layer: &PlannedLayer) -> SimTime {
+        let mut fin = SimTime::ZERO;
+        for &c in &layer.placement.chiplets {
+            let shard = self.net.transfer_packets(
+                at,
+                self.positions[c],
+                self.mem,
+                layer.output_shard_bits,
+                self.packet_bits,
+            );
+            fin = fin.max(shard.finish);
+        }
+        fin
+    }
+
+    fn energy_j(self, end: SimTime) -> f64 {
+        self.net.total_energy_j()
+            + (self.net.static_power_w() + self.phy_static_w) * end.as_secs_f64()
+    }
+}
+
+/// The monolithic chip's on-chip distribution bus (CrossLight).
+struct Bus {
+    bus: BandwidthServer,
+    /// The chip's photonic network power floor (broadcast laser + ring
+    /// tuning), watts.
+    static_w: f64,
+}
+
+impl Fabric for Bus {
+    const LINK: &'static str = "link:bus";
+
+    fn read(&mut self, weight_issue: SimTime, start: SimTime, layer: &PlannedLayer) -> SimTime {
+        let w_grant = self.bus.serve(weight_issue, layer.work.weight_bits);
+        let a_grant = self.bus.serve(start, layer.work.input_bits);
+        w_grant.finish.max(a_grant.finish)
+    }
+
+    fn write(&mut self, at: SimTime, layer: &PlannedLayer) -> SimTime {
+        self.bus.serve(at, layer.work.output_bits).finish
+    }
+
+    fn energy_j(self, end: SimTime) -> f64 {
+        // On-chip distribution energy (~0.3 pJ/bit of short global
+        // wiring) plus the power floor.
+        0.3e-12 * self.bus.served_bits() as f64 + self.static_w * end.as_secs_f64()
     }
 }
 

@@ -13,8 +13,9 @@
 //!   traffic/scheduling knobs ([`ServeConfig`], including the
 //!   [`BatchPolicy`] decode-batching discipline)
 //! * [`profile`] — per-model, per-stage service times tabulated at
-//!   every contention level through
-//!   [`Runner::run_workloads_scaled`](lumos_core::runner::Runner::run_workloads_scaled),
+//!   every contention level: each stage is placed once
+//!   ([`Runner::plan`](lumos_core::runner::Runner::plan)) and priced
+//!   per level ([`StagePlan::price`](lumos_core::runner::StagePlan::price)),
 //!   plus 2-D stage × batch decode planes for continuous batching
 //! * [`sim`] — the open-loop discrete-event core ([`simulate`]):
 //!   seeded Poisson arrivals, pluggable admission policies

@@ -7,10 +7,11 @@
 //! ([`ContentionModel::of_resident_streams`]). Rather than
 //! re-simulating a stream every time the residency changes, the
 //! profile tabulates each model's latency at every contention level
-//! `1..=max_concurrency` up front through
-//! [`Runner::run_workloads_scaled`]; the event loop then advances each
-//! resident stream's remaining-work fraction at the rate the current
-//! residency implies.
+//! `1..=max_concurrency` up front. Each stage is placed once
+//! ([`Runner::plan`]) and that plan is priced at every contention cell
+//! ([`StagePlan::price`](lumos_core::StagePlan::price)); the event loop
+//! then advances each resident stream's remaining-work fraction at the
+//! rate the current residency implies.
 //!
 //! A model is a sequence of **stages** — one for a single-pass
 //! inference, prefill plus one stage per generated token for a
@@ -28,8 +29,6 @@
 
 use lumos_core::contention::ContentionModel;
 use lumos_core::flow::{FlowRoute, FlowTopology};
-use lumos_core::mac::MacUnit;
-use lumos_core::mapper::place;
 use lumos_core::{MacClass, Platform, Runner};
 use lumos_dse::ContentionKind;
 
@@ -306,14 +305,10 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
             } else {
                 format!("{} [step {si}]", m.name)
             };
+            let plan = runner.plan(&cfg.platform, &label, stage)?;
             let mut service_s = Vec::with_capacity(cfg.max_concurrency);
             for k in 1..=cfg.max_concurrency {
-                let report = runner.run_workloads_scaled(
-                    &cfg.platform,
-                    &label,
-                    stage,
-                    &ContentionModel::of_resident_streams(k),
-                )?;
+                let report = plan.price(&ContentionModel::of_resident_streams(k))?;
                 if k == 1 {
                     energy_j += report.energy.total_j();
                     bits += report.bits_moved;
@@ -336,13 +331,7 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                         } else {
                             let contention = ContentionModel::uniform(1.0 / k as f64)
                                 .with_bandwidth_share(1.0 / j as f64);
-                            let report = runner.run_workloads_scaled(
-                                &cfg.platform,
-                                &label,
-                                stage,
-                                &contention,
-                            )?;
-                            col.push(report.total_latency.as_secs_f64());
+                            col.push(plan.price(&contention)?.total_latency.as_secs_f64());
                         }
                     }
                     plane.push(col);
@@ -350,19 +339,9 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                 flow_stages.push(plane);
             }
             stages.push(service_s);
-
-            for w in stage {
-                let placement = place(&cfg.platform_cfg, w)?;
-                for share in &placement.shares {
-                    let unit = MacUnit::new(share.class, calib);
-                    // passes / rate = unit-seconds of demand, independent
-                    // of how many units (or what fraction) execute it.
-                    class_unit_seconds[share.class.index()] +=
-                        share.passes as f64 / unit.passes_per_second();
-                }
-                if flow_topology.is_some() {
-                    model_chiplets.extend(placement.chiplets.iter().copied());
-                }
+            plan.add_unit_seconds(&mut class_unit_seconds);
+            if flow_topology.is_some() {
+                model_chiplets.extend_from_slice(plan.chiplets());
             }
         }
         if let Some(topo) = &flow_topology {
@@ -388,14 +367,10 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                             .decode_step_at_batch(step, b as u32)
                             .expect("generator spec presence checked above");
                         let label = format!("{} [step {step} x{b}]", m.name);
+                        let plan = runner.plan(&cfg.platform, &label, &wl)?;
                         let mut col = Vec::with_capacity(depth);
                         for k in 1..=depth {
-                            let report = runner.run_workloads_scaled(
-                                &cfg.platform,
-                                &label,
-                                &wl,
-                                &ContentionModel::of_resident_streams(k),
-                            )?;
+                            let report = plan.price(&ContentionModel::of_resident_streams(k))?;
                             col.push(report.total_latency.as_secs_f64());
                         }
                         plane.push(col);
